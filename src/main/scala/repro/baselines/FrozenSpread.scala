@@ -12,7 +12,7 @@ import repro.diffusion.LocalDiffusion
 object FrozenSpread {
 
   def instance(inst: ProblemInstance, hops: Int): ProblemInstance =
-    inst.withParams(inst.params.frozen.copy(maxSteps = hops)).withT(1)
+    inst.derive(params = inst.params.frozen.copy(maxSteps = hops), T = 1)
 
   def sigma(inst: ProblemInstance, nominees: Iterable[Nominee], hops: Int = 3): Double =
     LocalDiffusion.sigma(instance(inst, hops), nominees.map(n => Seed(n.user, n.item, 1)).toSeq)

@@ -26,7 +26,7 @@ object HAG {
     val deadline = if (timeoutMs == Long.MaxValue) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
     // full-length frozen diffusion (not hop-limited): associations included,
     // dynamics frozen — the expensive part HAG is known for
-    val frozenInst = inst.withParams(inst.params.frozen).withT(1)
+    val frozenInst = inst.derive(params = inst.params.frozen, T = 1)
     def f(set: Set[Nominee]): Double = {
       if (System.nanoTime() > deadline) throw new HagTimeout
       LocalDiffusion.sigma(frozenInst, set.iterator.map(n => Seed(n.user, n.item, 1)).toSeq)

@@ -61,7 +61,9 @@ final case class Params(
   * seed-selection algorithms consume.
   *
   * Users and items are dense 0-based ints. Meta-graph relevance matrices
-  * `metaS(m)(x)(y) = s(x,y|m)` are symmetric with zero diagonal. `inNbr`
+  * `metaS(m)(x)(y) = s(x,y|m)` are symmetric with zero diagonal; the
+  * diffusion engines read them through one primitive CSR per meta-graph
+  * ([[relevance]]), built once per `metaS`. `inNbr`
   * and `inAct` are aligned: `inAct(v)(i)` is the base influence strength of
   * `inNbr(v)(i)` on `v`. Built from Spark DataFrames by
   * [[repro.data.InstanceBuilder]]; small enough for the driver by design
@@ -96,43 +98,93 @@ final case class ProblemInstance(
 
   val nMeta: Int = metaKinds.length
 
-  /** Sparse (x, y, s) pair list per meta-graph with x < y and s > 0 —
-    * the hot loops of both diffusion engines iterate these instead of the
+  /** Sparse relevance per meta-graph, built from [[metaS]] on first use
+    * and shared by every copy made with [[derive]] or the `with*` helpers.
+    * The hot loops of both diffusion engines iterate these instead of the
     * dense matrices.
     */
-  val metaPairs: Vector[Array[(Int, Int, Double)]] = metaS.map { m =>
-    val b = Array.newBuilder[(Int, Int, Double)]
-    var x = 0
-    while (x < nItems) {
-      var y = x + 1
-      while (y < nItems) {
-        if (m(x)(y) > 0.0) b += ((x, y, m(x)(y)))
-        y += 1
-      }
-      x += 1
-    }
-    b.result()
+  def relevance: Vector[RelevanceCsr] = {
+    if (csr == null) csr = metaS.map(RelevanceCsr.fromDense(_, nItems))
+    csr
   }
-
-  /** Sparse neighbor lists per meta-graph: `metaNbrs(m)(x)` lists (y, s)
-    * with s(x,y|m) > 0 — symmetric expansion of [[metaPairs]] used by the
-    * extra-adoption inner loop.
-    */
-  lazy val metaNbrs: Vector[Array[Array[(Int, Double)]]] = metaPairs.map { pairs =>
-    val builders = Array.fill(nItems)(Array.newBuilder[(Int, Double)])
-    pairs.foreach { case (x, y, s) => builders(x) += ((y, s)); builders(y) += ((x, s)) }
-    builders.map(_.result())
-  }
+  @volatile @transient private var csr: Vector[RelevanceCsr] = null
 
   def totalCost(seeds: Iterable[Seed]): Double =
     seeds.iterator.map(s => cost(s.user)(s.item)).sum
 
   def withinBudget(seeds: Iterable[Seed]): Boolean = totalCost(seeds) <= budget + 1e-9
 
-  def withParams(p: Params): ProblemInstance = copy(params = p)
-  def withBudget(b: Double): ProblemInstance = copy(budget = b)
-  def withT(t: Int): ProblemInstance = copy(T = t)
+  /** A copy with new campaign settings; the social graph, preferences and
+    * relevance (with its CSR) are shared, not rebuilt.
+    */
+  def derive(params: Params = params, budget: Double = budget, T: Int = T): ProblemInstance = {
+    val c = copy(params = params, budget = budget, T = T)
+    c.csr = relevance
+    c
+  }
+
+  def withParams(p: Params): ProblemInstance = derive(params = p)
+  def withBudget(b: Double): ProblemInstance = derive(budget = b)
+  def withT(t: Int): ProblemInstance = derive(T = t)
 
   def inDegree(v: Int): Int = inNbr(v).length
   def outDegree(u: Int): Int = outNbr(u).length
+}
+
+/** One meta-graph's relevance s(x,y|m) > 0 in primitive arrays, two views
+  * of the same entries:
+  *
+  *  - pairs: `x(i) < y(i)` with value `s(i)`, the upper triangle in row-major
+  *    order (evidence and preference contributions);
+  *  - rows: the symmetric expansion, where item x's neighbours are
+  *    `nbr(rowPtr(x) until rowPtr(x + 1))` in ascending order with values
+  *    `value(...)` (item associations).
+  *
+  * Both views take s(x,y) from the upper triangle of the dense matrix.
+  */
+final class RelevanceCsr(
+    val x: Array[Int],
+    val y: Array[Int],
+    val s: Array[Double],
+    val rowPtr: Array[Int],
+    val nbr: Array[Int],
+    val value: Array[Double]) {
+  def nPairs: Int = s.length
+}
+
+object RelevanceCsr {
+  def fromDense(m: Array[Array[Double]], nItems: Int): RelevanceCsr = {
+    val xs = Array.newBuilder[Int]
+    val ys = Array.newBuilder[Int]
+    val ss = Array.newBuilder[Double]
+    val degree = new Array[Int](nItems)
+    var x = 0
+    while (x < nItems) {
+      var y = x + 1
+      while (y < nItems) {
+        if (m(x)(y) > 0.0) {
+          xs += x; ys += y; ss += m(x)(y)
+          degree(x) += 1; degree(y) += 1
+        }
+        y += 1
+      }
+      x += 1
+    }
+    val (px, py, ps) = (xs.result(), ys.result(), ss.result())
+    val rowPtr = new Array[Int](nItems + 1)
+    x = 0
+    while (x < nItems) { rowPtr(x + 1) = rowPtr(x) + degree(x); x += 1 }
+    // pairs are sorted by (x, y): filling rows in pair order leaves every
+    // row ascending (lower neighbours arrive first, as x of earlier pairs)
+    val fill = rowPtr.clone()
+    val nbr = new Array[Int](2 * ps.length)
+    val value = new Array[Double](2 * ps.length)
+    var i = 0
+    while (i < ps.length) {
+      nbr(fill(px(i))) = py(i); value(fill(px(i))) = ps(i); fill(px(i)) += 1
+      nbr(fill(py(i))) = px(i); value(fill(py(i))) = ps(i); fill(py(i)) += 1
+      i += 1
+    }
+    new RelevanceCsr(px, py, ps, rowPtr, nbr, value)
+  }
 }

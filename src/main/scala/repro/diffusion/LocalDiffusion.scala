@@ -26,7 +26,11 @@ final case class DiffusionResult(a: Array[Array[Double]], w: Array[Array[Double]
   *    `params.maxSteps` steps.
   *
   * `mask` (if given) restricts the diffusion to the induced subgraph of the
-  * masked users (used for per-target-market evaluations σ^τ in TDSI).
+  * masked users (used for per-target-market evaluations σ^τ in TDSI); every
+  * step then visits the masked users only. A rate of 0 in `params` (all
+  * three for the frozen spread f) skips the work of its factor, which is
+  * constant then (see [[repro.dynamics.Dynamics]]); the result is the same
+  * to the last bit.
   */
 object LocalDiffusion {
 
@@ -37,162 +41,224 @@ object LocalDiffusion {
     }
     val n = inst.nUsers
     val nI = inst.nItems
-    val active: Int => Boolean = mask match {
-      case Some(mk) => v => mk(v)
-      case None     => _ => true
+    val p = inst.params
+    // a rate of 0 makes its factor constant (see Dynamics): skip its work
+    val dynAct = p.gamma != 0.0
+    val dynPref = p.beta != 0.0
+    val frozenW =
+      if (p.eta != 0.0) null
+      else { val fw = new Array[Double](inst.nMeta); Dynamics.updateUserWeights(inst, new Array[Double](nI), fw); fw }
+    val cMeta = inst.cMeta.toArray
+    val cRel = cMeta.map(inst.relevance)
+
+    // the users a masked run diffuses over, ascending; every loop below
+    // visits only these
+    val users = mask match {
+      case Some(mk) => (0 until n).filter(v => mk(v)).toArray
+      case None     => Array.range(0, n)
     }
+
     val a = Array.fill(n)(new Array[Double](nI))
     val w = Array.fill(n)(Dynamics.initUserWeights(inst))
     val sumA = new Array[Double](n)
     val seedsByT = seeds.groupBy(_.t)
     var totalSteps = 0
 
-    // last step's applied deltas, stored sparsely per user
-    var lastDelta: Array[List[(Int, Double)]] = Array.fill(n)(Nil)
+    // per-user buffers, allocated on first use and reused across steps:
+    // last step's applied deltas (items and amounts), the products
+    // Π(1 − Δa·P_act), the raw deltas, and the cached preference
+    // contribution (valid until the user's adoptions next change)
+    val dItem = new Array[Array[Int]](n)
+    val dVal = new Array[Array[Double]](n)
+    val dCnt = new Array[Int](n)
+    val notProm = new Array[Array[Double]](n)
+    val raw = new Array[Array[Double]](n)
+    val contrib = new Array[Array[Double]](n)
+    val contribOk = new Array[Boolean](n)
+    // users with deltas (dCnt > 0) and users with raw deltas this step
+    val deltaUsers = new Array[Int](users.length)
+    var nDelta = 0
+    val rawUsers = new Array[Int](users.length)
+    val hasRaw = new Array[Boolean](n)
+    var nRaw = 0
 
-    def applyDeltas(raw: Array[Array[Double]]): (Array[List[(Int, Double)]], Double) = {
-      val applied = Array.fill[List[(Int, Double)]](n)(Nil)
+    def clearDeltas(): Unit = {
+      var k = 0
+      while (k < nDelta) { dCnt(deltaUsers(k)) = 0; k += 1 }
+      nDelta = 0
+    }
+
+    def recordDelta(v: Int, x: Int, d: Double): Unit = {
+      if (dItem(v) == null) { dItem(v) = new Array[Int](nI); dVal(v) = new Array[Double](nI) }
+      if (dCnt(v) == 0) { deltaUsers(nDelta) = v; nDelta += 1 }
+      dItem(v)(dCnt(v)) = x
+      dVal(v)(dCnt(v)) = d
+      dCnt(v) += 1
+    }
+
+    def rawRow(v: Int): Array[Double] = {
+      if (raw(v) == null) raw(v) = new Array[Double](nI)
+      else java.util.Arrays.fill(raw(v), 0.0)
+      hasRaw(v) = true
+      rawUsers(nRaw) = v
+      nRaw += 1
+      raw(v)
+    }
+
+    /** Applies the raw deltas of `rawUsers` (capped at 1 − a), records them
+      * as the new deltas, updates touched users' weightings and returns
+      * the largest delta.
+      */
+    def applyDeltas(): Double = {
+      clearDeltas()
       var maxD = 0.0
-      var v = 0
-      while (v < n) {
+      var k = 0
+      while (k < nRaw) {
+        val v = rawUsers(k)
         val rv = raw(v)
-        if (rv != null) {
-          var x = 0
-          var touched = false
-          while (x < nI) {
-            if (rv(x) > 0.0) {
-              val d = math.min(rv(x), 1.0 - a(v)(x))
-              if (d > 0.0) {
-                a(v)(x) += d
-                sumA(v) += d
-                applied(v) = (x, d) :: applied(v)
-                if (d > maxD) maxD = d
-                touched = true
-              }
+        val av = a(v)
+        var x = 0
+        while (x < nI) {
+          if (rv(x) > 0.0) {
+            val d = math.min(rv(x), 1.0 - av(x))
+            if (d > 0.0) {
+              av(x) += d
+              sumA(v) += d
+              recordDelta(v, x, d)
+              if (d > maxD) maxD = d
             }
-            x += 1
           }
-          if (touched) w(v) = {
-            val nw = new Array[Double](inst.nMeta)
-            Dynamics.updateUserWeights(inst, a(v), nw)
-            nw
-          }
+          x += 1
         }
-        v += 1
+        if (dCnt(v) > 0) {
+          if (frozenW == null) Dynamics.updateUserWeights(inst, av, w(v))
+          else System.arraycopy(frozenW, 0, w(v), 0, frozenW.length)
+          contribOk(v) = false
+        }
+        hasRaw(v) = false
+        k += 1
       }
-      (applied, maxD)
+      nRaw = 0
+      maxD
     }
 
     var t = 1
     while (t <= inst.T) {
       // ζ_t = 0: seed adoptions
-      val seedRaw = new Array[Array[Double]](n)
       seedsByT.getOrElse(t, Nil).foreach { s =>
-        if (active(s.user)) {
-          if (seedRaw(s.user) == null) seedRaw(s.user) = new Array[Double](nI)
-          seedRaw(s.user)(s.item) = math.max(seedRaw(s.user)(s.item), 1.0 - a(s.user)(s.item))
+        if (mask.forall(_(s.user))) {
+          val v = s.user
+          val rv = if (hasRaw(v)) raw(v) else rawRow(v)
+          rv(s.item) = math.max(rv(s.item), 1.0 - a(v)(s.item))
         }
       }
-      val (_, seedMax) = applyDeltas(seedRaw)
+      val seedMax = applyDeltas()
       // each promotion re-diffuses from every current adopter (multi-round
       // IM semantics of [5], which the paper follows): the round's frontier
       // carries the full adoption mass (seeds now included in `a`), so
       // later rounds retry the influence attempts that failed earlier
-      val frontier = Array.tabulate[List[(Int, Double)]](n) { v =>
-        if (!active(v)) Nil
-        else {
-          var l = List.empty[(Int, Double)]
-          var x = 0
-          while (x < nI) {
-            if (a(v)(x) > 0.0) l = (x, a(v)(x)) :: l
-            x += 1
-          }
-          l
+      clearDeltas()
+      users.foreach { v =>
+        var x = 0
+        while (x < nI) {
+          if (a(v)(x) > 0.0) recordDelta(v, x, a(v)(x))
+          x += 1
         }
       }
-      lastDelta = frontier
-      var moving = seedMax > 0.0 || frontier.exists(_.nonEmpty)
+      var moving = seedMax > 0.0 || nDelta > 0
 
       var step = 0
-      while (moving && step < inst.params.maxSteps) {
+      while (moving && step < p.maxSteps) {
         step += 1
         totalSteps += 1
         // 1 - Π(1 - Δa(u',x)·P_act(u',v)) accumulated multiplicatively
-        val notProm = new Array[Array[Double]](n)
-        var v = 0
-        while (v < n) {
-          if (active(v)) {
-            val nbrs = inst.inNbr(v)
-            var i = 0
-            while (i < nbrs.length) {
-              val u = nbrs(i)
-              if (active(u) && lastDelta(u).nonEmpty) {
-                val actUV =
-                  Dynamics.act(inst, inst.inAct(v)(i), Dynamics.sim(a(u), a(v), sumA(u), sumA(v)))
-                lastDelta(u).foreach { case (x, d) =>
-                  if (notProm(v) == null) { notProm(v) = Array.fill(nI)(1.0) }
-                  notProm(v)(x) *= (1.0 - d * actUV)
-                }
+        var k = 0
+        while (k < users.length) {
+          val v = users(k)
+          val nbrs = inst.inNbr(v)
+          var np: Array[Double] = null
+          var i = 0
+          while (i < nbrs.length) {
+            val u = nbrs(i)
+            if (dCnt(u) > 0) {
+              val actUV = Dynamics.act(inst, inst.inAct(v)(i),
+                if (dynAct) Dynamics.sim(a(u), a(v), sumA(u), sumA(v)) else 0.0)
+              if (np == null) {
+                if (notProm(v) == null) notProm(v) = new Array[Double](nI)
+                np = notProm(v)
+                java.util.Arrays.fill(np, 1.0)
+                rawRow(v) // v receives this step
               }
-              i += 1
+              val du = dItem(u)
+              val dv = dVal(u)
+              var j = 0
+              while (j < dCnt(u)) { np(du(j)) *= (1.0 - dv(j) * actUV); j += 1 }
             }
+            i += 1
           }
-          v += 1
+          k += 1
         }
         // adoption + extra-adoption deltas
-        val raw = new Array[Array[Double]](n)
-        v = 0
-        while (v < n) {
+        k = 0
+        while (k < nRaw) {
+          val v = rawUsers(k)
           val np = notProm(v)
-          if (np != null) {
-            val contrib = Dynamics.prefContrib(inst, w(v), a(v))
-            val rv = new Array[Double](nI)
-            var x = 0
-            while (x < nI) {
-              if (np(x) < 1.0) {
-                val q = 1.0 - np(x)
-                val pPref = Dynamics.pref(inst, inst.basePref(v)(x), contrib(x))
-                rv(x) += (1.0 - a(v)(x)) * q * pPref
-                // item associations: P_ext = q · P_pref(x) · r^C(v,x,y) · scale,
-                // with the total association mass of one promotion event
-                // bounded by q · P_pref · scale (the r^C row is normalized to
-                // sum <= 1 — DESIGN.md Sec. 4; keeps dense complementary
-                // catalogs from exploding super-linearly under bundles)
-                val base = q * pPref * inst.params.extraScale
-                if (base > 0.0) {
-                  var rowSum = 0.0
-                  inst.cMeta.foreach { m =>
-                    val wm = w(v)(m)
-                    if (wm > 0.0) {
-                      val nbrs = inst.metaNbrs(m)(x)
-                      var j = 0
-                      while (j < nbrs.length) { rowSum += wm * nbrs(j)._2; j += 1 }
+          val rv = raw(v)
+          val av = a(v)
+          val wv = w(v)
+          val cv =
+            if (!dynPref) null
+            else {
+              if (contrib(v) == null) contrib(v) = new Array[Double](nI)
+              if (!contribOk(v)) { Dynamics.prefContribInto(inst, wv, av, contrib(v)); contribOk(v) = true }
+              contrib(v)
+            }
+          var x = 0
+          while (x < nI) {
+            if (np(x) < 1.0) {
+              val q = 1.0 - np(x)
+              val pPref = Dynamics.pref(inst, inst.basePref(v)(x), if (cv == null) 0.0 else cv(x))
+              rv(x) += (1.0 - av(x)) * q * pPref
+              // item associations: P_ext = q · P_pref(x) · r^C(v,x,y) · scale,
+              // with the total association mass of one promotion event
+              // bounded by q · P_pref · scale (the r^C row is normalized to
+              // sum <= 1 — DESIGN.md Sec. 4; keeps dense complementary
+              // catalogs from exploding super-linearly under bundles)
+              val base = q * pPref * p.extraScale
+              if (base > 0.0) {
+                var rowSum = 0.0
+                var c = 0
+                while (c < cMeta.length) {
+                  val wm = wv(cMeta(c))
+                  if (wm > 0.0) {
+                    val r = cRel(c)
+                    var j = r.rowPtr(x)
+                    while (j < r.rowPtr(x + 1)) { rowSum += wm * r.value(j); j += 1 }
+                  }
+                  c += 1
+                }
+                val factor = if (rowSum > 1.0) 1.0 / rowSum else 1.0
+                c = 0
+                while (c < cMeta.length) {
+                  val wm = wv(cMeta(c))
+                  if (wm > 0.0) {
+                    val r = cRel(c)
+                    var j = r.rowPtr(x)
+                    while (j < r.rowPtr(x + 1)) {
+                      val y = r.nbr(j)
+                      rv(y) += (1.0 - av(y)) * base * factor * wm * r.value(j)
+                      j += 1
                     }
                   }
-                  val factor = if (rowSum > 1.0) 1.0 / rowSum else 1.0
-                  inst.cMeta.foreach { m =>
-                    val wm = w(v)(m)
-                    if (wm > 0.0) {
-                      val nbrs = inst.metaNbrs(m)(x)
-                      var j = 0
-                      while (j < nbrs.length) {
-                        val (y, s) = nbrs(j)
-                        rv(y) += (1.0 - a(v)(y)) * base * factor * wm * s
-                        j += 1
-                      }
-                    }
-                  }
+                  c += 1
                 }
               }
-              x += 1
             }
-            raw(v) = rv
+            x += 1
           }
-          v += 1
+          k += 1
         }
-        val (applied, maxD) = applyDeltas(raw)
-        lastDelta = applied
-        moving = maxD > inst.params.eps
+        moving = applyDeltas() > p.eps
       }
       t += 1
     }
@@ -226,26 +292,35 @@ object LocalDiffusion {
     * (footnote 22) evaluated mean-field.
     */
   def pi(inst: ProblemInstance, res: DiffusionResult, countMask: Option[Array[Boolean]] = None): Double = {
+    val p = inst.params
     val sumA = res.a.map(_.sum)
+    val contrib = new Array[Double](inst.nItems)
     var acc = 0.0
     var v = 0
     while (v < inst.nUsers) {
       if (countMask.forall(_(v))) {
-        val contrib = Dynamics.prefContrib(inst, res.w(v), res.a(v))
+        val av = res.a(v)
+        if (p.beta != 0.0) Dynamics.prefContribInto(inst, res.w(v), av, contrib)
+        // P_act of every adopting in-neighbour, shared by all items
+        val nbrs = inst.inNbr(v)
+        val act = new Array[Double](nbrs.length)
+        var i = 0
+        while (i < nbrs.length) {
+          val u = nbrs(i)
+          if (sumA(u) > 0.0)
+            act(i) = Dynamics.act(inst, inst.inAct(v)(i),
+              if (p.gamma != 0.0) Dynamics.sim(res.a(u), av, sumA(u), sumA(v)) else 0.0)
+          i += 1
+        }
         var y = 0
         while (y < inst.nItems) {
-          val remain = 1.0 - res.a(v)(y)
+          val remain = 1.0 - av(y)
           if (remain > 1e-12) {
             var not = 1.0
-            val nbrs = inst.inNbr(v)
-            var i = 0
+            i = 0
             while (i < nbrs.length) {
-              val u = nbrs(i)
-              if (res.a(u)(y) > 0.0) {
-                val actUV =
-                  Dynamics.act(inst, inst.inAct(v)(i), Dynamics.sim(res.a(u), res.a(v), sumA(u), sumA(v)))
-                not *= (1.0 - res.a(u)(y) * actUV)
-              }
+              val auy = res.a(nbrs(i))(y)
+              if (auy > 0.0) not *= (1.0 - auy * act(i))
               i += 1
             }
             val ais = 1.0 - not

@@ -43,8 +43,9 @@ object SparkDiffusion {
     } yield (v, x, inst.basePref(v)(x))).toDF("user", "item", "bp").cache()
     val pairs = (for {
       m <- 0 until inst.nMeta
-      (x, y, s) <- inst.metaPairs(m)
-    } yield (m, inst.metaKinds(m).sign, inst.cMeta.contains(m), x, y, s))
+      r = inst.relevance(m)
+      i <- 0 until r.nPairs
+    } yield (m, inst.metaKinds(m).sign, inst.cMeta.contains(m), r.x(i), r.y(i), r.s(i)))
       .toDF("meta", "sign", "isC", "x", "y", "s")
       .cache()
     val nC = math.max(1, inst.cMeta.size)

@@ -8,7 +8,15 @@ import repro.core.ProblemInstance
   *
   * Both diffusion engines ([[repro.diffusion.LocalDiffusion]] and
   * [[repro.diffusion.SparkDiffusion]]) implement exactly these formulas;
-  * the parity test suite keeps them one system.
+  * the parity test suite keeps them one system. Sums over meta-graph pairs
+  * read the instance's relevance CSR ([[ProblemInstance.relevance]]).
+  *
+  * Each rate set to 0 makes its factor constant: η = 0 keeps the
+  * weightings at what [[updateUserWeights]] returns for any `a`, β = 0
+  * keeps P_pref at the clamped base preference whatever [[prefContrib]]
+  * is, and γ = 0 keeps P_act at its capped base whatever [[sim]] is. The
+  * engines skip those computations then (the frozen fast path), with
+  * identical results.
   */
 object Dynamics {
 
@@ -26,12 +34,11 @@ object Dynamics {
     * e(u,m) = Σ_{x<y} a_x · a_y · s(x,y|m).
     */
   def evidence(inst: ProblemInstance, a: Array[Double], m: Int): Double = {
-    val pairs = inst.metaPairs(m)
+    val r = inst.relevance(m)
     var e = 0.0
     var i = 0
-    while (i < pairs.length) {
-      val (x, y, s) = pairs(i)
-      e += a(x) * a(y) * s
+    while (i < r.s.length) {
+      e += a(r.x(i)) * a(r.y(i)) * r.s(i)
       i += 1
     }
     e
@@ -72,22 +79,30 @@ object Dynamics {
     */
   def prefContrib(inst: ProblemInstance, w: Array[Double], a: Array[Double]): Array[Double] = {
     val contrib = new Array[Double](inst.nItems)
+    prefContribInto(inst, w, a, contrib)
+    contrib
+  }
+
+  /** [[prefContrib]] written into `out` (overwritten, length nItems). */
+  def prefContribInto(inst: ProblemInstance, w: Array[Double], a: Array[Double], out: Array[Double]): Unit = {
+    java.util.Arrays.fill(out, 0.0)
     var m = 0
     while (m < inst.nMeta) {
       val wm = w(m) * inst.metaKinds(m).sign
       if (wm != 0.0) {
-        val pairs = inst.metaPairs(m)
+        val r = inst.relevance(m)
         var i = 0
-        while (i < pairs.length) {
-          val (x, y, s) = pairs(i)
-          contrib(y) += wm * a(x) * s
-          contrib(x) += wm * a(y) * s
+        while (i < r.s.length) {
+          val x = r.x(i)
+          val y = r.y(i)
+          val s = r.s(i)
+          out(y) += wm * a(x) * s
+          out(x) += wm * a(y) * s
           i += 1
         }
       }
       m += 1
     }
-    contrib
   }
 
   /** Dynamic preference P_pref(u,y) = clamp01(basePref + β·contrib(y)). */

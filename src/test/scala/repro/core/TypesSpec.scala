@@ -28,17 +28,30 @@ class TypesSpec extends AnyFunSuite {
     assert((inst.cMeta ++ inst.sMeta).sorted == (0 until inst.nMeta))
   }
 
-  test("metaPairs lists exactly the positive upper-triangle entries") {
+  private def pairsOf(r: RelevanceCsr) = r.x.indices.map(i => (r.x(i), r.y(i), r.s(i)))
+  private def rowOf(r: RelevanceCsr, x: Int) = (r.rowPtr(x) until r.rowPtr(x + 1)).map(j => (r.nbr(j), r.value(j)))
+
+  test("relevance pairs list exactly the positive upper-triangle entries") {
     val inst = TestInstances.line3
-    val pairs = inst.metaPairs(0)
-    assert(pairs.toSeq == Seq((0, 1, 0.8)))
-    assert(inst.metaPairs(1).isEmpty)
+    assert(pairsOf(inst.relevance(0)) == Seq((0, 1, 0.8)))
+    assert(inst.relevance(1).nPairs == 0)
   }
 
-  test("metaNbrs is the symmetric expansion of metaPairs") {
+  test("relevance rows are the symmetric expansion of the pairs") {
     val inst = TestInstances.line3
-    assert(inst.metaNbrs(0)(0).toSeq == Seq((1, 0.8)))
-    assert(inst.metaNbrs(0)(1).toSeq == Seq((0, 0.8)))
+    assert(rowOf(inst.relevance(0), 0) == Seq((1, 0.8)))
+    assert(rowOf(inst.relevance(0), 1) == Seq((0, 0.8)))
+  }
+
+  test("with* copies share the relevance CSR; a copy with new metaS rebuilds it") {
+    val inst = TestInstances.random(2L)
+    val rel = inst.relevance
+    assert(inst.withParams(inst.params.frozen).relevance eq rel)
+    assert(inst.withBudget(1.0).relevance eq rel)
+    assert(inst.withT(1).relevance eq rel)
+    assert(inst.derive(params = inst.params.frozen, T = 1).relevance eq rel)
+    val zero = inst.copy(metaS = inst.metaS.map(m => Array.fill(m.length, m.length)(0.0)))
+    assert(zero.relevance.forall(_.nPairs == 0))
   }
 
   test("totalCost and withinBudget") {

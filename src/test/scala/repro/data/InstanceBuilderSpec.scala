@@ -43,8 +43,8 @@ class InstanceBuilderSpec extends SparkSpec {
 
   test("relevance matrices are nonzero (the KG actually connects items)") {
     val inst = InstanceBuilder.build(spark, smallCfg)
-    assert(inst.cMeta.exists(m => inst.metaPairs(m).nonEmpty), "some complementary relevance")
-    assert(inst.sMeta.exists(m => inst.metaPairs(m).nonEmpty), "some substitutable relevance")
+    assert(inst.cMeta.exists(m => inst.relevance(m).nPairs > 0), "some complementary relevance")
+    assert(inst.sMeta.exists(m => inst.relevance(m).nPairs > 0), "some substitutable relevance")
   }
 
   test("fromParts rejects out-of-range social edges") {

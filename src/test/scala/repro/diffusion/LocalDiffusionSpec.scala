@@ -166,4 +166,22 @@ class LocalDiffusionSpec extends AnyFunSuite {
     val s3 = LocalDiffusion.sigma(inst.withT(3), Seq(Seed(0, 0, 1)))
     assert(s3 > s1, s"T=3 ($s3) must exceed T=1 ($s1) via per-promotion retries")
   }
+
+  test("golden: a, w, steps, sigma and pi match the reference kernel to 1e-12") {
+    val src = scala.io.Source.fromResource("golden/local-diffusion.tsv")
+    val golden =
+      try src.getLines().map { l => val Array(k, v) = l.split('\t'); k -> v.split(' ').map(_.toDouble) }.toMap
+      finally src.close()
+    val cases = KernelGolden.cases
+    assert(golden.keySet == cases.map(_._1).toSet)
+    cases.foreach { case (name, inst, seeds, mask) =>
+      val got = KernelGolden.snapshot(inst, seeds, mask)
+      val want = golden(name)
+      assert(got.length == want.length, name)
+      got.indices.foreach { i =>
+        assert(math.abs(got(i) - want(i)) <= 1e-12 * math.max(1.0, math.abs(want(i))),
+          s"$name, value $i: ${got(i)} != ${want(i)}")
+      }
+    }
+  }
 }
