@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Seed
+import repro.core.{Seed, TMI}
 import repro.data.{DatasetGen, InstanceBuilder}
 import repro.diffusion.LocalDiffusion
 import repro.dynamics.Dynamics
@@ -26,17 +26,17 @@ class CaseStudyBench extends SparkSpec {
     val lines = scala.collection.mutable.ArrayBuffer.empty[String]
 
     // pick a complementary pair (x, y) with high rC and a user with out-edges
-    val w0 = Dynamics.initUserWeights(inst)
+    val (rC0, rS0) = TMI.avgRel(inst, Array(Dynamics.initUserWeights(inst)))
     val pairs = for (x <- 0 until inst.nItems; y <- (x + 1) until inst.nItems) yield (x, y)
-    val (cx, cy) = pairs.maxBy { case (x, y) => Dynamics.rC(inst, w0, x, y) - Dynamics.rS(inst, w0, x, y) }
+    val (cx, cy) = pairs.maxBy { case (x, y) => rC0(x)(y) - rS0(x)(y) }
     val hub = (0 until inst.nUsers).maxBy(inst.outDegree)
     val follower = inst.outNbr(hub).head
 
     // 1. perception shift: relevance between cx and cy before/after the hub
     //    adopts both in separate promotions
-    val before = Dynamics.rC(inst, w0, cx, cy)
+    val before = rC0(cx)(cy)
     val res1 = LocalDiffusion.run(inst, Seq(Seed(hub, cx, 1), Seed(hub, cy, 2)))
-    val after = Dynamics.rC(inst, res1.w(hub), cx, cy)
+    val after = TMI.avgRel(inst, Array(res1.w(hub)))._1(cx)(cy)
     lines += f"1. personal complementary relevance r^C($cx,$cy) of the adopter: $before%.3f -> $after%.3f"
     assert(after > before, "co-adoption must strengthen the complementary perception")
 

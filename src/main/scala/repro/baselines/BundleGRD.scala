@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Nominee, ProblemInstance}
+import repro.core.{CandidatePool, Nominee, ProblemInstance}
 
 /** BundleGRD, after the utility-driven welfare maximization of [33]
   * (Sec. VI-A): treats the whole item set as one bundle — it greedily
@@ -25,7 +25,7 @@ object BundleGRD {
     val itemsByImportance = (0 until inst.nItems).sortBy(x => (-inst.importance(x), x)).toVector
     // few users end up selected, so a modest user pool suffices (each
     // candidate evaluation re-simulates the whole chosen bundle set)
-    val users = repro.core.CandidatePool.users(inst, maxCandidates).take(40)
+    val users = CandidatePool.pairs(inst, maxCandidates, CandidatePool.proxyGain(inst, _, _)).map(_.user).distinct.take(40)
 
     def bundleOf(u: Int, budgetLeft: Double): Vector[Nominee] = {
       var left = budgetLeft

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Nominee, ProblemInstance, Seed}
+import repro.core.{CandidatePool, Nominee, ProblemInstance, Seed}
 import repro.diffusion.LocalDiffusion
 
 /** HAG, after "when social influence meets item inference" [10]
@@ -22,7 +22,7 @@ object HAG {
       inst: ProblemInstance,
       maxCandidates: Int = 400,
       timeoutMs: Long = Long.MaxValue): Option[Vector[Nominee]] = {
-    val pool = repro.core.CandidatePool.pairs(inst, maxCandidates)
+    val pool = CandidatePool.pairs(inst, maxCandidates, CandidatePool.proxyGain(inst, _, _))
     val deadline = if (timeoutMs == Long.MaxValue) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
     // full-length frozen diffusion (not hop-limited): associations included,
     // dynamics frozen — the expensive part HAG is known for

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Nominee, ProblemInstance, Seed}
+import repro.core.{CandidatePool, Nominee, ProblemInstance, Seed}
 import repro.diffusion.LocalDiffusion
 
 /** OPT: exhaustive search over seed groups (Sec. VI-B compares against a
@@ -12,25 +12,12 @@ import repro.diffusion.LocalDiffusion
   */
 object OptBruteForce {
 
-  /** Default pool: the affordable pairs with the best individual frozen
-    * spread — half taken by spread per cost (the cost-effective picks),
-    * half by raw spread (the expensive-hub picks), so the exhaustive
-    * search sees both regimes.
+  /** Default pool: the shared [[CandidatePool]] scored by each pair's
+    * individual frozen spread, so the exhaustive search sees both the
+    * cost-effective and the expensive-hub picks.
     */
-  def defaultPool(inst: ProblemInstance, poolSize: Int, frozenHops: Int = 3): Vector[Nominee] = {
-    val frozenInst = FrozenSpread.instance(inst, frozenHops)
-    val scored = for {
-      u <- 0 until inst.nUsers
-      x <- 0 until inst.nItems
-      if inst.cost(u)(x) <= inst.budget + 1e-9
-    } yield {
-      val g = repro.diffusion.LocalDiffusion.sigma(frozenInst, Seq(Seed(u, x, 1)))
-      (Nominee(u, x), g, g / inst.cost(u)(x))
-    }
-    val byRatio = scored.sortBy(-_._3).map(_._1)
-    val byGain = scored.sortBy(-_._2).map(_._1)
-    (byRatio.take((poolSize + 1) / 2) ++ byGain).distinct.take(poolSize).toVector
-  }
+  def defaultPool(inst: ProblemInstance, poolSize: Int, frozenHops: Int = 3): Vector[Nominee] =
+    CandidatePool.pairs(inst, poolSize, (u, x) => FrozenSpread.sigma(inst, Seq(Nominee(u, x)), frozenHops))
 
   /** Exhaustive maximization of the dynamic σ over subsets (≤ maxSeeds) of
     * pool × rounds within budget. Returns (best seed group, its σ).

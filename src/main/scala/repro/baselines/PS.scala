@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Nominee, ProblemInstance, Seed}
+import repro.core.{CandidatePool, Nominee, ProblemInstance, Seed}
 import repro.social.MIOA
 
 /** PS, after the multi-grade revenue maximization of [20] (Sec. VI-A):
@@ -19,7 +19,7 @@ object PS {
 
   def selectPairs(inst: ProblemInstance, maxCandidates: Int = 400, thetaPath: Double = 0.01): Vector[Nominee] = {
     val outAdj = MIOA.outAdjacency(inst.inNbr, inst.inAct)
-    val pool = repro.core.CandidatePool.pairs(inst, maxCandidates)
+    val pool = CandidatePool.pairs(inst, maxCandidates, CandidatePool.proxyGain(inst, _, _))
     val users = pool.map(_.user).distinct
     // maximum-influence-path reach per candidate user (the expensive scan)
     val reach: Map[Int, Map[Int, Double]] =

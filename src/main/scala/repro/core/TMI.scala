@@ -48,41 +48,41 @@ object TMI {
   def initialAvgRel(inst: ProblemInstance): (Array[Array[Double]], Array[Array[Double]]) =
     avgRel(inst, Array(Dynamics.initUserWeights(inst)))
 
-  /** Average relevance matrices over a set of users' weight vectors. */
-  def avgRel(inst: ProblemInstance, ws: Array[Array[Double]]): (Array[Array[Double]], Array[Array[Double]]) = {
-    val n = inst.nItems
-    val rC = Array.fill(n, n)(0.0)
-    val rS = Array.fill(n, n)(0.0)
-    val k = math.max(1, ws.length)
-    var x = 0
-    while (x < n) {
-      var y = x + 1
-      while (y < n) {
-        var c = 0.0
-        var s = 0.0
-        ws.foreach { w => c += Dynamics.rC(inst, w, x, y); s += Dynamics.rS(inst, w, x, y) }
-        rC(x)(y) = c / k; rC(y)(x) = c / k
-        rS(x)(y) = s / k; rS(y)(x) = s / k
-        y += 1
-      }
-      x += 1
-    }
-    (rC, rS)
-  }
-
-  /** The candidate nominee universe (the paper's U = V × I, capped for
-    * tractability via the shared proxy ranking — DESIGN.md Sec. 2).
+  /** Average relevance matrices over a set of users' weight vectors:
+    * r̄C(x,y) = (1/k) Σ_u Σ_{m∈C} W(u,m)·s(x,y|m), and r̄S likewise,
+    * read from the relevance CSR.
     */
-  def candidatePool(inst: ProblemInstance, cfg: Config): Vector[Nominee] =
-    CandidatePool.pairs(inst, cfg.maxCandidates)
+  def avgRel(inst: ProblemInstance, ws: Array[Array[Double]]): (Array[Array[Double]], Array[Array[Double]]) =
+    (classAvg(inst, inst.cMeta, ws), classAvg(inst, inst.sMeta, ws))
+
+  /** One class's average. Each user's sum over the class's meta-graphs is
+    * completed in a buffer before it joins the total, in user order, so
+    * every entry is summed in the order of the per-pair definition.
+    */
+  private def classAvg(inst: ProblemInstance, cls: Vector[Int], ws: Array[Array[Double]]): Array[Array[Double]] = {
+    val n = inst.nItems
+    val total = Array.ofDim[Double](n, n)
+    val user = Array.ofDim[Double](n, n)
+    ws.foreach { w =>
+      cls.foreach { m =>
+        val r = inst.relevance(m)
+        for (i <- 0 until r.nPairs) user(r.x(i))(r.y(i)) += w(m) * r.s(i)
+      }
+      for (x <- 0 until n; y <- x + 1 until n) { total(x)(y) += user(x)(y); user(x)(y) = 0.0 }
+    }
+    val k = math.max(1, ws.length)
+    for (x <- 0 until n; y <- x + 1 until n) { total(x)(y) /= k; total(y)(x) = total(x)(y) }
+    total
+  }
 
   /** selectNominees(U, b): CELF greedy by MCP = (f(N∪{n}) − f(N)) / c(n),
     * with the standard knapsack correction behind Theorem 2's (1 − 1/√e)
     * factor: the result is the better of the ratio-greedy set and the best
-    * affordable singleton.
+    * affordable singleton. U is the shared pool ranked by proxy gain
+    * ([[CandidatePool]]).
     */
   def selectNominees(inst: ProblemInstance, cfg: Config): Vector[Nominee] = {
-    val pool = candidatePool(inst, cfg)
+    val pool = CandidatePool.pairs(inst, cfg.maxCandidates, CandidatePool.proxyGain(inst, _, _))
     def f(set: Iterable[Nominee]): Double = FrozenSpread.sigma(inst, set, cfg.frozenHops)
     // singleton gains computed once, shared by CELF's first round and the
     // knapsack correction below

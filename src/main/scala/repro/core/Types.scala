@@ -61,8 +61,9 @@ final case class Params(
   * seed-selection algorithms consume.
   *
   * Users and items are dense 0-based ints. Meta-graph relevance matrices
-  * `metaS(m)(x)(y) = s(x,y|m)` are symmetric with zero diagonal; the
-  * diffusion engines read them through one primitive CSR per meta-graph
+  * `metaS(m)(x)(y) = s(x,y|m)` are symmetric with zero diagonal and
+  * entries in [0, 1]. They are the construction input only: algorithm code
+  * reads relevance through one primitive CSR per meta-graph
   * ([[relevance]]), built once per `metaS`. `inNbr`
   * and `inAct` are aligned: `inAct(v)(i)` is the base influence strength of
   * `inNbr(v)(i)` on `v`. Built from Spark DataFrames by
@@ -100,8 +101,8 @@ final case class ProblemInstance(
 
   /** Sparse relevance per meta-graph, built from [[metaS]] on first use
     * and shared by every copy made with [[derive]] or the `with*` helpers.
-    * The hot loops of both diffusion engines iterate these instead of the
-    * dense matrices.
+    * The diffusion engines and TMI/DRE's average relevance read these
+    * instead of the dense matrices.
     */
   def relevance: Vector[RelevanceCsr] = {
     if (csr == null) csr = metaS.map(RelevanceCsr.fromDense(_, nItems))
@@ -140,7 +141,9 @@ final case class ProblemInstance(
   *    `nbr(rowPtr(x) until rowPtr(x + 1))` in ascending order with values
   *    `value(...)` (item associations).
   *
-  * Both views take s(x,y) from the upper triangle of the dense matrix.
+  * [[RelevanceCsr.fromDense]] accepts only a valid relevance matrix
+  * (square, symmetric, zero diagonal, entries in [0, 1]), so both views
+  * hold every positive entry of it.
   */
 final class RelevanceCsr(
     val x: Array[Int],
@@ -154,6 +157,13 @@ final class RelevanceCsr(
 
 object RelevanceCsr {
   def fromDense(m: Array[Array[Double]], nItems: Int): RelevanceCsr = {
+    require(m.length == nItems && m.forall(_.length == nItems), s"relevance must be $nItems x $nItems")
+    for (x <- 0 until nItems; y <- x until nItems) {
+      val s = m(x)(y)
+      require(s >= 0.0 && s <= 1.0, s"relevance ($x,$y) = $s is outside [0, 1]")
+      require(m(y)(x) == s, s"relevance is not symmetric at ($x,$y)")
+      require(x != y || s == 0.0, s"relevance diagonal ($x,$x) = $s is not 0")
+    }
     val xs = Array.newBuilder[Int]
     val ys = Array.newBuilder[Int]
     val ss = Array.newBuilder[Double]

@@ -58,24 +58,11 @@ object Dynamics {
     if (sSum > 0.0) inst.sMeta.foreach(m => out(m) /= sSum)
   }
 
-  /** Personal relevance r^C(u,x,y) = Σ_{m∈C} W(u,m)·s(x,y|m). */
-  def rC(inst: ProblemInstance, w: Array[Double], x: Int, y: Int): Double = {
-    var r = 0.0
-    inst.cMeta.foreach(m => r += w(m) * inst.metaS(m)(x)(y))
-    r
-  }
-
-  /** Personal relevance r^S(u,x,y) = Σ_{m∈S} W(u,m)·s(x,y|m). */
-  def rS(inst: ProblemInstance, w: Array[Double], x: Int, y: Int): Double = {
-    var r = 0.0
-    inst.sMeta.foreach(m => r += w(m) * inst.metaS(m)(x)(y))
-    r
-  }
-
   /** Cross-elasticity contribution per item:
     * contrib(y) = Σ_x a_x · (r^C(u,x,y) − r^S(u,x,y))
     *            = Σ_m sign(m) · W(u,m) · (S_m · a)(y),
-    * computed over the sparse pair lists.
+    * computed over the sparse pair lists, where personal relevance is
+    * r^C(u,x,y) = Σ_{m∈C} W(u,m)·s(x,y|m) and r^S likewise over S.
     */
   def prefContrib(inst: ProblemInstance, w: Array[Double], a: Array[Double]): Array[Double] = {
     val contrib = new Array[Double](inst.nItems)

@@ -25,7 +25,7 @@ class TMISpec extends AnyFunSuite {
 
   test("candidatePool is capped, affordable, and covers both ranking regimes") {
     val inst = starInst
-    val pool = TMI.candidatePool(inst, TMI.Config(maxCandidates = 6))
+    val pool = CandidatePool.pairs(inst, 6, CandidatePool.proxyGain(inst, _, _))
     assert(pool.size == 6)
     assert(pool.forall(n => inst.cost(n.user)(n.item) <= inst.budget + 1e-9))
     // with unit costs both regimes rank by proxy gain: the hub leads

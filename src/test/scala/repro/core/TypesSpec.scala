@@ -54,6 +54,24 @@ class TypesSpec extends AnyFunSuite {
     assert(zero.relevance.forall(_.nPairs == 0))
   }
 
+  test("fromDense rejects an asymmetric matrix and a nonzero diagonal") {
+    val asym = TestInstances.sym(3)((0, 1, 0.5))
+    asym(1)(0) = 0.4
+    assertThrows[IllegalArgumentException](RelevanceCsr.fromDense(asym, 3))
+    val diag = TestInstances.sym(3)((0, 1, 0.5))
+    diag(2)(2) = 0.3
+    assertThrows[IllegalArgumentException](RelevanceCsr.fromDense(diag, 3))
+  }
+
+  test("fromDense rejects a wrong shape and entries outside [0, 1]") {
+    val m = TestInstances.sym(3)((0, 1, 0.5))
+    assertThrows[IllegalArgumentException](RelevanceCsr.fromDense(m, 4))
+    assertThrows[IllegalArgumentException](RelevanceCsr.fromDense(m.map(_.take(2)), 3))
+    assertThrows[IllegalArgumentException](RelevanceCsr.fromDense(TestInstances.sym(3)((0, 1, 1.5)), 3))
+    assertThrows[IllegalArgumentException](RelevanceCsr.fromDense(TestInstances.sym(3)((1, 2, -0.1)), 3))
+    assert(RelevanceCsr.fromDense(m, 3).nPairs == 1)
+  }
+
   test("totalCost and withinBudget") {
     val inst = TestInstances.line3 // unit costs, budget 10
     val seeds = Seq(Seed(0, 0, 1), Seed(1, 1, 2))

@@ -4,10 +4,11 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.{Seed => RngSeed}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
-import repro.core.{ProblemInstance, RelevanceCsr, Seed}
+import repro.core.{ProblemInstance, RelevanceCsr, Seed, TMI}
 
-/** ScalaCheck properties of the relevance CSR and the mean-field kernel on
-  * random small instances (frozen and dynamic, one to three promotions).
+/** ScalaCheck properties of the relevance CSR, the average relevance built
+  * from it, and the mean-field kernel on random small instances (frozen and
+  * dynamic, one to three promotions).
   */
 class KernelPropertiesSpec extends AnyFunSuite {
 
@@ -67,6 +68,44 @@ class KernelPropertiesSpec extends AnyFunSuite {
       r.x.indices.forall(i => r.x(i) < r.y(i)) && rowsAscending &&
         fromPairs.map(_.toSeq).toSeq == m.map(_.toSeq).toSeq &&
         fromRows.map(_.toSeq).toSeq == m.map(_.toSeq).toSeq
+    })
+  }
+
+  /** The dense per-pair average: for each pair and each user, the class's
+    * weighted sum read from `metaS`, summed over users, divided by the
+    * user count.
+    */
+  private def denseAvgRel(inst: ProblemInstance, ws: Array[Array[Double]]) = {
+    val n = inst.nItems
+    val rC = Array.fill(n, n)(0.0)
+    val rS = Array.fill(n, n)(0.0)
+    def r(cls: Vector[Int], w: Array[Double], x: Int, y: Int): Double = {
+      var acc = 0.0
+      cls.foreach(m => acc += w(m) * inst.metaS(m)(x)(y))
+      acc
+    }
+    val k = math.max(1, ws.length)
+    for (x <- 0 until n; y <- x + 1 until n) {
+      var c = 0.0
+      var s = 0.0
+      ws.foreach { w => c += r(inst.cMeta, w, x, y); s += r(inst.sMeta, w, x, y) }
+      rC(x)(y) = c / k; rC(y)(x) = c / k
+      rS(x)(y) = s / k; rS(y)(x) = s / k
+    }
+    (rC, rS)
+  }
+
+  test("avgRel from the CSR equals the dense per-pair average bit for bit") {
+    def bits(m: Array[Array[Double]]) = m.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq
+    val gen = for {
+      inst <- genInst
+      k <- Gen.choose(0, 6)
+      ws <- Gen.listOfN(k, Gen.listOfN(inst.nMeta, Gen.frequency(1 -> Gen.const(0.0), 4 -> Gen.choose(0.0, 1.0))))
+    } yield (inst, ws.map(_.toArray).toArray)
+    check(Prop.forAll(gen) { case (inst, ws) =>
+      val (rC, rS) = TMI.avgRel(inst, ws)
+      val (dC, dS) = denseAvgRel(inst, ws)
+      bits(rC) == bits(dC) && bits(rS) == bits(dS)
     })
   }
 

@@ -2,7 +2,7 @@ package repro.dynamics
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestInstances
-import repro.core.{Params, RelKind}
+import repro.core.{Params, RelKind, TMI}
 
 class DynamicsSpec extends AnyFunSuite {
   private val eps = 1e-12
@@ -60,20 +60,22 @@ class DynamicsSpec extends AnyFunSuite {
   }
 
   test("rC and rS are the weighted sums of class matrices") {
-    val w = Array(0.5, 0.5, 1.0)
-    assert(math.abs(Dynamics.rC(inst, w, 0, 1) - 0.5 * 1.0) < eps)
-    assert(math.abs(Dynamics.rC(inst, w, 0, 2) - 0.5 * 0.4) < eps)
-    assert(math.abs(Dynamics.rS(inst, w, 0, 1) - 0.6) < eps)
+    val (rC, rS) = TMI.avgRel(inst, Array(Array(0.5, 0.5, 1.0)))
+    assert(math.abs(rC(0)(1) - 0.5 * 1.0) < eps)
+    assert(math.abs(rC(0)(2) - 0.5 * 0.4) < eps)
+    assert(math.abs(rS(0)(1) - 0.6) < eps)
   }
 
   test("prefContrib matches the direct double sum") {
     val w = Array(0.7, 0.3, 1.0)
     val a = Array(0.9, 0.2, 0.4)
     val contrib = Dynamics.prefContrib(inst, w, a)
+    val i = inst
+    def r(cls: Seq[Int], x: Int, y: Int) = cls.map(m => w(m) * i.metaS(m)(x)(y)).sum
     for (y <- 0 until 3) {
       var direct = 0.0
       for (x <- 0 until 3 if x != y)
-        direct += a(x) * (Dynamics.rC(inst, w, x, y) - Dynamics.rS(inst, w, x, y))
+        direct += a(x) * (r(i.cMeta, x, y) - r(i.sMeta, x, y))
       assert(math.abs(contrib(y) - direct) < 1e-9, s"item $y")
     }
   }
